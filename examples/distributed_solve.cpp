@@ -307,9 +307,10 @@ int solve_rank(int rank, core::Transport& t, const Cli& cli) {
   if (gr.outcome == resil::SolveOutcome::Failed) return 3;
   // Exit grace: keep re-Acking duplicate frames until the wire is quiet,
   // so a peer whose final Ack was destroyed (conn_reset) is not stranded
-  // retransmitting to an exited rank.
-  for (auto& plan : plans) plan->drain();
-  xfer_plan.drain();
+  // retransmitting to an exited rank. One drain covers every plan: they
+  // all share this transport, and the re-Ack answers any Data frame older
+  // than the transport-wide exchange sequence, whatever plan sent it.
+  plans.front()->drain();
 
   if (rank == 0) {
     const nsu3d::Forces f = solver.integrate_forces();

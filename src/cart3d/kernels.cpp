@@ -7,6 +7,8 @@
 
 namespace columbia::cart3d::kernels {
 
+using cartesian::axis_normal;
+using cartesian::boundary_normal;
 using cartesian::CartCell;
 using cartesian::CartFace;
 using cartesian::CartMesh;
@@ -14,9 +16,11 @@ using geom::Vec3;
 
 namespace {
 
-// Cell-loop chunk grain: fixed so chunk boundaries never depend on the
-// thread count (determinism); matches the solver's historical constant.
+// Chunk grains: fixed so chunk boundaries never depend on the thread
+// count (determinism); the cell grain matches the solver's historical
+// constant.
 constexpr std::size_t kCellGrain = 512;
+constexpr std::size_t kFaceGrain = 1024;
 
 template <class Fn>
 void for_cells(std::size_t n, Fn&& body) {
@@ -24,24 +28,6 @@ void for_cells(std::size_t n, Fn&& body) {
       0, n, kCellGrain, [&](std::size_t b, std::size_t e, int) {
         for (std::size_t i = b; i < e; ++i) body(i);
       });
-}
-
-Vec3 boundary_normal(const CartFace& f) {
-  const int a = f.axis >= 0 ? f.axis : -(f.axis + 1);
-  const real_t sign = f.axis >= 0 ? 1.0 : -1.0;
-  Vec3 n{};
-  if (a == 0) n.x = sign;
-  if (a == 1) n.y = sign;
-  if (a == 2) n.z = sign;
-  return n;
-}
-
-Vec3 axis_normal(int axis) {
-  Vec3 n{};
-  if (axis == 0) n.x = 1;
-  if (axis == 1) n.y = 1;
-  if (axis == 2) n.z = 1;
-  return n;
 }
 
 std::array<real_t, 5> prim_array(const Prim& w) {
@@ -64,6 +50,22 @@ real_t venkat(real_t dplus, real_t dq, real_t eps2) {
   const real_t num = (dplus * dplus + eps2) + 2.0 * dplus * dq;
   const real_t den = dplus * dplus + 2.0 * dq * dq + dplus * dq + eps2;
   return den > 0 ? num / den : 1.0;
+}
+
+/// Cell-grouped CSR by stable counting sort: `each(emit)` must call
+/// emit(cell, entry) in ascending face order, so each cell's entries
+/// ascend too.
+template <class Each>
+void build_csr(std::size_t n, Each&& each, std::vector<index_t>& off,
+               std::vector<index_t>& adj) {
+  off.assign(n + 1, 0);
+  each([&](index_t cell, index_t) { ++off[std::size_t(cell) + 1]; });
+  for (std::size_t i = 0; i < n; ++i) off[i + 1] += off[i];
+  adj.resize(std::size_t(off[n]));
+  std::vector<index_t> fill(off.begin(), off.end() - 1);
+  each([&](index_t cell, index_t entry) {
+    adj[std::size_t(fill[std::size_t(cell)]++)] = entry;
+  });
 }
 
 }  // namespace
@@ -172,6 +174,22 @@ void LevelGeom::build(const CartMesh& m) {
     bny[e] = bn.y;
     bnz[e] = bn.z;
   }
+
+  build_csr(
+      n,
+      [&](auto&& emit) {
+        for (std::size_t e = 0; e < nf; ++e) {
+          emit(fl[e], index_t(e));
+          emit(fr[e], ~index_t(e));
+        }
+      },
+      cf_off, cf);
+  build_csr(
+      n,
+      [&](auto&& emit) {
+        for (std::size_t e = 0; e < nb; ++e) emit(bfl[e], index_t(e));
+      },
+      cb_off, cb);
   built = true;
 }
 
@@ -180,80 +198,139 @@ void Scratch::resize(const LevelGeom& g, bool second_order) {
   pb.resize(g.cells * kPrimStride);
   if (second_order) {
     gb.resize(g.cells * kGradStride);
-    rb.resize(g.cells * kRhsStride);
     ph.resize(g.cells * kPhiStride);
     fdq.resize(g.faces * kFdqStride);
+  } else {
+    fx.resize(g.faces * kFluxStride);
   }
 }
 
 namespace {
 
-/// Vectorizable LSQ rhs update for one face side (restrict parameters:
-/// the two cells of a face are distinct, so the blocks never overlap).
-inline void lsq_rhs_edge(real_t* __restrict ra, real_t* __restrict rbv,
-                         const real_t* __restrict pa,
-                         const real_t* __restrict pbv, real_t dx, real_t dy,
-                         real_t dz) {
-  for (std::size_t c = 0; c < 5; ++c) {
-    const real_t dq = pbv[c] - pa[c];
-    ra[c] += dq * dx;
-    ra[5 + c] += dq * dy;
-    ra[10 + c] += dq * dz;
-    const real_t dqr = pa[c] - pbv[c];
-    rbv[c] += dqr * -dx;
-    rbv[5 + c] += dqr * -dy;
-    rbv[10 + c] += dqr * -dz;
-  }
+/// Second-order pass, per cell: LSQ rhs + neighbor min/max over its
+/// faces in face order (the reference's accumulate/minmax scatters, seen
+/// from one cell), the 3x3 solve against the precomputed Gram inverse,
+/// then the limiter over the same faces. The limiter needs only the
+/// cell's own gradient and bounds, so it runs in the same gather; each
+/// face side is owned by exactly one cell, which writes that half of the
+/// face's fdq block.
+void gradients_and_limiter(const LevelGeom& g, Scratch& s) {
+  const real_t* const pb = s.pb.data();
+  real_t* const gb = s.gb.data();
+  real_t* const ph = s.ph.data();
+  real_t* const fdq = s.fdq.data();
+  const index_t* const cf_off = g.cf_off.data();
+  const index_t* const cf = g.cf.data();
+  const real_t* const ginv = g.ginv.data();
+  const unsigned char* const sing = g.singular.data();
+  const real_t* const eps2 = g.eps2.data();
+  for_cells(g.cells, [&](std::size_t i) {
+    const real_t* const __restrict pi = pb + i * kPrimStride;
+    real_t rhs[15] = {};
+    real_t qmin[5], qmax[5];
+    for (std::size_t c = 0; c < 5; ++c) qmin[c] = qmax[c] = pi[c];
+    for (index_t j = cf_off[i]; j < cf_off[i + 1]; ++j) {
+      const index_t k = cf[j];
+      const bool left = k >= 0;
+      const std::size_t e = std::size_t(left ? k : ~k);
+      const std::size_t o = std::size_t(left ? g.fr[e] : g.fl[e]);
+      const real_t* const __restrict po = pb + o * kPrimStride;
+      const real_t dx = left ? g.dabx[e] : -g.dabx[e];
+      const real_t dy = left ? g.daby[e] : -g.daby[e];
+      const real_t dz = left ? g.dabz[e] : -g.dabz[e];
+      for (std::size_t c = 0; c < 5; ++c) {
+        const real_t dq = po[c] - pi[c];
+        rhs[c] += dq * dx;
+        rhs[5 + c] += dq * dy;
+        rhs[10 + c] += dq * dz;
+        qmin[c] = std::min(qmin[c], po[c]);
+        qmax[c] = std::max(qmax[c], po[c]);
+      }
+    }
+
+    real_t* const __restrict bl = gb + i * kGradStride;
+    if (sing[i]) {
+      for (std::size_t c = 0; c < 15; ++c) bl[c] = 0.0;  // isolated cell
+    } else {
+      const real_t* const __restrict gi = ginv + i * kGinvStride;
+      for (std::size_t c = 0; c < 5; ++c) {
+        const real_t rx = rhs[c], ry = rhs[5 + c], rz = rhs[10 + c];
+        bl[c] = gi[0] * rx + gi[1] * ry + gi[2] * rz;
+        bl[5 + c] = gi[1] * rx + gi[3] * ry + gi[4] * rz;
+        bl[10 + c] = gi[2] * rx + gi[4] * ry + gi[5] * rz;
+      }
+    }
+    for (std::size_t c = 0; c < 5; ++c) {
+      bl[15 + c] = qmin[c];
+      bl[20 + c] = qmax[c];
+    }
+
+    // Venkatakrishnan limiter; g . d uses geom::dot's association.
+    const real_t ei = eps2[i];
+    real_t phi[5] = {1.0, 1.0, 1.0, 1.0, 1.0};
+    for (index_t j = cf_off[i]; j < cf_off[i + 1]; ++j) {
+      const index_t k = cf[j];
+      const bool left = k >= 0;
+      const std::size_t e = std::size_t(left ? k : ~k);
+      const real_t dx = left ? g.dlx[e] : g.drx[e];
+      const real_t dy = left ? g.dly[e] : g.dry[e];
+      const real_t dz = left ? g.dlz[e] : g.drz[e];
+      real_t* const __restrict fd = fdq + e * kFdqStride + (left ? 0 : 5);
+      for (std::size_t c = 0; c < 5; ++c) {
+        const real_t dq = (bl[c] * dx + bl[5 + c] * dy) + bl[10 + c] * dz;
+        fd[c] = dq;
+        real_t lim = 1.0;
+        if (dq > 1e-14)
+          lim = venkat(qmax[c] - pi[c], dq, ei);
+        else if (dq < -1e-14)
+          lim = venkat(pi[c] - qmin[c], -dq, ei);
+        phi[c] = std::min(phi[c], lim);
+      }
+    }
+    real_t* const __restrict f = ph + i * kPhiStride;
+    for (std::size_t c = 0; c < 5; ++c) f[c] = phi[c];
+  });
 }
 
-/// Directional differences g . d for both face sides, cached per face and
-/// reused bitwise by the reconstruction (same association as geom::dot).
-inline void limiter_fdq(real_t* __restrict fd, const real_t* __restrict ga,
-                        const real_t* __restrict gbb, real_t dlx_, real_t dly_,
-                        real_t dlz_, real_t drx_, real_t dry_, real_t drz_) {
-  for (std::size_t c = 0; c < 5; ++c) {
-    fd[c] = (ga[c] * dlx_ + ga[5 + c] * dly_) + ga[10 + c] * dlz_;
-    fd[5 + c] = (gbb[c] * drx_ + gbb[5 + c] * dry_) + gbb[10 + c] * drz_;
-  }
-}
-
+/// One numerical flux per face (face-parallel; faces are independent):
+/// out[e * stride + c] = area * flux[c]. On second-order levels `out` is
+/// fdq, so each face's flux overwrites slots [0, 5) of its own block
+/// after the reconstruction has read the whole block.
 template <euler::FluxScheme S>
-void flux_faces(const LevelGeom& g, const Scratch& s, bool second_order,
-                std::vector<Cons>& res) {
+void face_fluxes(const LevelGeom& g, Scratch& s, bool second_order) {
   const real_t* const pb = s.pb.data();
   const real_t* const ph = s.ph.data();
-  const real_t* const fdq = s.fdq.data();
   const Prim* const w = s.w.data();
-  Cons* const r = res.data();
-  for (std::size_t e = 0; e < g.faces; ++e) {
-    const std::size_t a = std::size_t(g.fl[e]);
-    const std::size_t b = std::size_t(g.fr[e]);
-    const Vec3 nrm = axis_normal(g.axis[e]);
-    Prim wl = w[a], wr = w[b];
-    if (second_order) {
-      const real_t* const pa = pb + a * kPrimStride;
-      const real_t* const pbv = pb + b * kPrimStride;
-      const real_t* const pha = ph + a * kPhiStride;
-      const real_t* const phb = ph + b * kPhiStride;
-      const real_t* const fd = fdq + e * kFdqStride;
-      std::array<real_t, 5> ql, qr;
-      for (std::size_t c = 0; c < 5; ++c) {
-        ql[c] = pa[c] + pha[c] * fd[c];
-        qr[c] = pbv[c] + phb[c] * fd[5 + c];
-      }
-      // Exact inverse of the scalar guard (q[0] <= 0 || q[4] <= 0 falls
-      // back to the cell mean) so NaN reconstructions take the same path.
-      if (!(ql[0] <= 0 || ql[4] <= 0)) wl = prim_from_array(ql);
-      if (!(qr[0] <= 0 || qr[4] <= 0)) wr = prim_from_array(qr);
-    }
-    const Cons flux = scheme_flux<S>(wl, wr, nrm);
-    const real_t ar = g.area[e];
-    for (std::size_t c = 0; c < 5; ++c) {
-      const real_t fc = ar * flux[c];
-      r[a][c] += fc;
-      r[b][c] -= fc;
-    }
-  }
+  real_t* const out = second_order ? s.fdq.data() : s.fx.data();
+  const std::size_t stride = second_order ? kFdqStride : kFluxStride;
+  smp::ThreadPool::global().parallel_for(
+      0, g.faces, kFaceGrain, [&](std::size_t fb, std::size_t fe, int) {
+        for (std::size_t e = fb; e < fe; ++e) {
+          const std::size_t a = std::size_t(g.fl[e]);
+          const std::size_t b = std::size_t(g.fr[e]);
+          real_t* const o = out + e * stride;
+          Prim wl = w[a], wr = w[b];
+          if (second_order) {
+            const real_t* const pa = pb + a * kPrimStride;
+            const real_t* const pbv = pb + b * kPrimStride;
+            const real_t* const pha = ph + a * kPhiStride;
+            const real_t* const phb = ph + b * kPhiStride;
+            std::array<real_t, 5> ql, qr;
+            for (std::size_t c = 0; c < 5; ++c) {
+              ql[c] = pa[c] + pha[c] * o[c];
+              qr[c] = pbv[c] + phb[c] * o[5 + c];
+            }
+            // Exact inverse of the scalar guard (q[0] <= 0 || q[4] <= 0
+            // falls back to the cell mean) so NaN reconstructions take the
+            // same path.
+            if (!(ql[0] <= 0 || ql[4] <= 0)) wl = prim_from_array(ql);
+            if (!(qr[0] <= 0 || qr[4] <= 0)) wr = prim_from_array(qr);
+          }
+          const Cons flux = scheme_flux<S>(wl, wr, axis_normal(g.axis[e]));
+          const real_t ar = g.area[e];
+          for (std::size_t c = 0; c < 5; ++c) o[c] = ar * flux[c];
+        }
+      });
 }
 
 }  // namespace
@@ -265,16 +342,8 @@ void residual(const LevelGeom& g, const CartMesh& m, const Prim& freestream,
   s.resize(g, second_order);
   res.resize(n);
 
-  // Fused setup pass: primitive cache + zero the residual; with second
-  // order also seed the limiter (phi = 1), the neighbor min/max (own
-  // value) and zero the LSQ rhs blocks — all stores nothing reads before
-  // the later sweeps, so fusing is bit-neutral.
   Prim* const w = s.w.data();
   real_t* const pb = s.pb.data();
-  real_t* const gb = s.gb.data();
-  real_t* const rb = s.rb.data();
-  real_t* const ph = s.ph.data();
-  Cons* const r = res.data();
   for_cells(n, [&](std::size_t i) {
     const Prim wi = euler::to_primitive(u[i]);
     w[i] = wi;
@@ -284,126 +353,85 @@ void residual(const LevelGeom& g, const CartMesh& m, const Prim& freestream,
     p[2] = wi.vel.y;
     p[3] = wi.vel.z;
     p[4] = wi.p;
-    if (second_order) {
-      real_t* const __restrict bl = gb + i * kGradStride;
-      real_t* const __restrict rl = rb + i * kRhsStride;
-      real_t* const __restrict f = ph + i * kPhiStride;
-      for (std::size_t c = 0; c < 5; ++c) {
-        bl[15 + c] = bl[20 + c] = p[c];  // qmin/qmax seed
-        rl[c] = rl[5 + c] = rl[10 + c] = 0.0;
-        f[c] = 1.0;
-      }
-    }
-    r[i] = Cons{};
   });
 
-  if (second_order) {
-    // LSQ rhs + neighbor min/max, fused into one serial face sweep (both
-    // accumulate per cell in face order, exactly as the two scalar sweeps
-    // did; they write disjoint arrays).
-    for (std::size_t e = 0; e < g.faces; ++e) {
-      const std::size_t a = std::size_t(g.fl[e]);
-      const std::size_t b = std::size_t(g.fr[e]);
-      lsq_rhs_edge(rb + a * kRhsStride, rb + b * kRhsStride,
-                   pb + a * kPrimStride, pb + b * kPrimStride, g.dabx[e],
-                   g.daby[e], g.dabz[e]);
-      real_t* const __restrict bl = gb + a * kGradStride;
-      real_t* const __restrict br = gb + b * kGradStride;
-      const real_t* const __restrict pa = pb + a * kPrimStride;
-      const real_t* const __restrict pbv = pb + b * kPrimStride;
-      for (std::size_t c = 0; c < 5; ++c) {
-        bl[15 + c] = std::min(bl[15 + c], pbv[c]);
-        bl[20 + c] = std::max(bl[20 + c], pbv[c]);
-        br[15 + c] = std::min(br[15 + c], pa[c]);
-        br[20 + c] = std::max(br[20 + c], pa[c]);
-      }
-    }
+  if (second_order) gradients_and_limiter(g, s);
 
-    // Per-cell 3x3 solves against the precomputed Gram inverses (the
-    // scalar path rebuilt and re-inverted the Gram matrix every call).
-    const real_t* const ginv = g.ginv.data();
-    const unsigned char* const sing = g.singular.data();
-    for_cells(n, [&](std::size_t i) {
-      real_t* const __restrict bl = gb + i * kGradStride;
-      if (sing[i]) {
-        for (std::size_t c = 0; c < 15; ++c) bl[c] = 0.0;  // isolated cell
-        return;
-      }
-      const real_t* const __restrict gi = ginv + i * kGinvStride;
-      const real_t* const __restrict rl = rb + i * kRhsStride;
-      for (std::size_t c = 0; c < 5; ++c) {
-        const real_t rx = rl[c], ry = rl[5 + c], rz = rl[10 + c];
-        bl[c] = gi[0] * rx + gi[1] * ry + gi[2] * rz;
-        bl[5 + c] = gi[1] * rx + gi[3] * ry + gi[4] * rz;
-        bl[10 + c] = gi[2] * rx + gi[4] * ry + gi[5] * rz;
-      }
-    });
-
-    // Venkatakrishnan limiter sweep; the directional differences are
-    // cached per face for the flux reconstruction.
-    const real_t* const eps2 = g.eps2.data();
-    real_t* const fdq = s.fdq.data();
-    for (std::size_t e = 0; e < g.faces; ++e) {
-      const std::size_t a = std::size_t(g.fl[e]);
-      const std::size_t b = std::size_t(g.fr[e]);
-      const real_t* const ga = gb + a * kGradStride;
-      const real_t* const gbb = gb + b * kGradStride;
-      const real_t* const pa = pb + a * kPrimStride;
-      const real_t* const pbv = pb + b * kPrimStride;
-      real_t* const pha = ph + a * kPhiStride;
-      real_t* const phb = ph + b * kPhiStride;
-      real_t* const fd = fdq + e * kFdqStride;
-      limiter_fdq(fd, ga, gbb, g.dlx[e], g.dly[e], g.dlz[e], g.drx[e],
-                  g.dry[e], g.drz[e]);
-      const real_t ea = eps2[a], eb = eps2[b];
-      for (std::size_t c = 0; c < 5; ++c) {
-        const real_t dqa = fd[c];
-        real_t lim_a = 1.0;
-        if (dqa > 1e-14)
-          lim_a = venkat(ga[20 + c] - pa[c], dqa, ea);
-        else if (dqa < -1e-14)
-          lim_a = venkat(pa[c] - ga[15 + c], -dqa, ea);
-        pha[c] = std::min(pha[c], lim_a);
-        const real_t dqb = fd[5 + c];
-        real_t lim_b = 1.0;
-        if (dqb > 1e-14)
-          lim_b = venkat(gbb[20 + c] - pbv[c], dqb, eb);
-        else if (dqb < -1e-14)
-          lim_b = venkat(pbv[c] - gbb[15 + c], -dqb, eb);
-        phb[c] = std::min(phb[c], lim_b);
-      }
-    }
-  }
-
-  // Interior faces (scheme hoisted out of the sweep).
+  // One flux per face (scheme hoisted out of the sweep).
   switch (scheme) {
     case euler::FluxScheme::Roe:
-      flux_faces<euler::FluxScheme::Roe>(g, s, second_order, res);
+      face_fluxes<euler::FluxScheme::Roe>(g, s, second_order);
       break;
     case euler::FluxScheme::VanLeer:
-      flux_faces<euler::FluxScheme::VanLeer>(g, s, second_order, res);
+      face_fluxes<euler::FluxScheme::VanLeer>(g, s, second_order);
       break;
     case euler::FluxScheme::Rusanov:
-      flux_faces<euler::FluxScheme::Rusanov>(g, s, second_order, res);
+      face_fluxes<euler::FluxScheme::Rusanov>(g, s, second_order);
       break;
   }
 
-  // Domain (farfield) boundary faces.
-  for (std::size_t e = 0; e < g.bfl.size(); ++e) {
-    const std::size_t i = std::size_t(g.bfl[e]);
-    const Vec3 nrm{g.bnx[e], g.bny[e], g.bnz[e]};
-    const Cons flux = euler::farfield_flux(w[i], freestream, nrm, scheme);
-    const real_t ar = g.barea[e];
-    for (std::size_t c = 0; c < 5; ++c) r[i][c] += ar * flux[c];
-  }
+  // Per cell: interior flux sums in face order (+= as the left side, -=
+  // as the right), then the domain (farfield) boundary faces.
+  const real_t* const fx = second_order ? s.fdq.data() : s.fx.data();
+  const std::size_t stride = second_order ? kFdqStride : kFluxStride;
+  const index_t* const cf_off = g.cf_off.data();
+  const index_t* const cf = g.cf.data();
+  const index_t* const cb_off = g.cb_off.data();
+  const index_t* const cb = g.cb.data();
+  Cons* const r = res.data();
+  for_cells(n, [&](std::size_t i) {
+    Cons acc{};
+    for (index_t j = cf_off[i]; j < cf_off[i + 1]; ++j) {
+      const index_t k = cf[j];
+      if (k >= 0) {
+        const real_t* const f = fx + std::size_t(k) * stride;
+        for (std::size_t c = 0; c < 5; ++c) acc[c] += f[c];
+      } else {
+        const real_t* const f = fx + std::size_t(~k) * stride;
+        for (std::size_t c = 0; c < 5; ++c) acc[c] -= f[c];
+      }
+    }
+    for (index_t j = cb_off[i]; j < cb_off[i + 1]; ++j) {
+      const std::size_t e = std::size_t(cb[j]);
+      const Vec3 nrm{g.bnx[e], g.bny[e], g.bnz[e]};
+      const Cons flux = euler::farfield_flux(w[i], freestream, nrm, scheme);
+      const real_t ar = g.barea[e];
+      for (std::size_t c = 0; c < 5; ++c) acc[c] += ar * flux[c];
+    }
+    r[i] = acc;
+  });
 
   // Embedded (cut-cell) walls: only the precomputed cut list is visited
-  // (cut indices are unique, so the scatter is race-free).
+  // (cut indices are unique, so the update is race-free).
   const index_t* const cut = g.cut_cells.data();
   for_cells(g.cut_cells.size(), [&](std::size_t k) {
     const std::size_t i = std::size_t(cut[k]);
     const Cons flux = euler::wall_flux(w[i], m.cells[i].wall_area);
     for (std::size_t q = 0; q < 5; ++q) r[i][q] += flux[q];
+  });
+}
+
+void wave_speeds(const LevelGeom& g, const CartMesh& m,
+                 std::span<const Cons> u, std::vector<real_t>& wave) {
+  wave.resize(g.cells);
+  for_cells(g.cells, [&](std::size_t i) {
+    const Prim wi = euler::to_primitive(u[i]);
+    real_t acc = 0.0;
+    for (index_t j = g.cf_off[i]; j < g.cf_off[i + 1]; ++j) {
+      const index_t k = g.cf[j];
+      const std::size_t e = std::size_t(k >= 0 ? k : ~k);
+      acc += euler::spectral_radius(wi, axis_normal(g.axis[e])) * g.area[e];
+    }
+    for (index_t j = g.cb_off[i]; j < g.cb_off[i + 1]; ++j) {
+      const std::size_t e = std::size_t(g.cb[j]);
+      acc += euler::spectral_radius(wi, {g.bnx[e], g.bny[e], g.bnz[e]}) *
+             g.barea[e];
+    }
+    const CartCell& c = m.cells[i];
+    if (c.cut)
+      acc += euler::spectral_radius(wi, normalized(c.wall_area)) *
+             norm(c.wall_area);
+    wave[i] = acc;
   });
 }
 

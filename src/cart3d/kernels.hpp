@@ -7,17 +7,31 @@
 // constant per mesh level — so LevelGeom hoists it into per-level SoA
 // streams built once: per-face endpoint/offset/normal streams in face
 // storage order, per-cell centers, Gram inverses (+ singular flag) and
-// eps^2. The residual then runs three face sweeps (LSQ rhs + neighbor
-// min/max fused; limiter; flux) over unit-stride streams plus blocked
-// per-cell state, with the limiter's directional differences cached per
-// face and reused bitwise by the reconstruction (identical expression,
-// identical inputs).
+// eps^2, and cell->face adjacency (CSR, ascending face index).
+//
+// Threading: every face sweep is a per-cell GATHER over the cell's faces
+// in ascending face order, run on the pool in SFC cell chunks; no cell
+// is written by more than one thread and no face loop scatters. The
+// residual runs four passes:
+//   1. primitive cache (cell loop);
+//   2. LSQ rhs + neighbor min/max, the 3x3 gradient solve, then the
+//      limiter over the same faces: each cell computes its own side's
+//      directional differences g . d into the face's fdq block (cached
+//      for the reconstruction) and folds the Venkatakrishnan values into
+//      its phi (cell gather);
+//   3. one numerical flux per face, written as area*flux into the first
+//      5 slots of that face's fdq block after its reads (face loop);
+//   4. interior flux sums (+= on the left side, -= on the right), then
+//      the farfield faces (cell gather), then the cut-cell walls.
+// Faces are not colored: a coloring would reorder each cell's sums.
 //
 // Bit-identity contract: every kernel performs exactly the arithmetic of
-// the retained scalar reference (residual_reference below) in the same
-// per-cell accumulation order. Hoisted values (Gram inverses, eps^2,
-// offsets) are computed with the same expressions the scalar path
-// evaluated per call. Negated offsets rely only on fl(-t) == -fl(t).
+// the retained scalar reference (residual_reference below) and each cell
+// sees the same operands in the same order as the reference's serial
+// face scatter, so the result is bitwise unchanged at every thread count.
+// Hoisted values (Gram inverses, eps^2, offsets) are computed with the
+// same expressions the scalar path evaluated per call. Negated offsets
+// rely only on fl(-t) == -fl(t).
 #pragma once
 
 #include <array>
@@ -37,9 +51,9 @@ using euler::Prim;
 // never straddles an extra cache line.
 inline constexpr std::size_t kPrimStride = 8;   // [rho,u,v,w,p] + pad
 inline constexpr std::size_t kGradStride = 32;  // [gx 5][gy 5][gz 5][min 5][max 5] + pad
-inline constexpr std::size_t kRhsStride = 16;   // [rx 5][ry 5][rz 5] + pad
 inline constexpr std::size_t kPhiStride = 8;    // [phi 5] + pad
 inline constexpr std::size_t kFdqStride = 10;   // per face: [g.dl 5][g.dr 5]
+inline constexpr std::size_t kFluxStride = 5;   // per face: area*flux
 inline constexpr std::size_t kGinvStride = 8;   // [i00,i01,i02,i11,i12,i22] + pad
 
 /// Per-level geometry, built once per mesh level (everything here is a
@@ -67,6 +81,12 @@ struct LevelGeom {
   std::vector<real_t> barea;
   std::vector<real_t> bnx, bny, bnz;
 
+  // Cell -> face adjacency (CSR, ascending face index within a cell).
+  // Interior entries are e where the cell is the face's left side and ~e
+  // where it is the right side; boundary entries index the bfl streams.
+  std::vector<index_t> cf_off, cf;  // interior faces: 2 entries per face
+  std::vector<index_t> cb_off, cb;  // boundary faces: 1 entry per face
+
   void build(const cartesian::CartMesh& m);
 };
 
@@ -75,9 +95,11 @@ struct Scratch {
   std::vector<Prim> w;      // AoS primitives (what the Riemann solvers eat)
   std::vector<real_t> pb;   // kPrimStride-blocked primitive scalars
   std::vector<real_t> gb;   // kGradStride-blocked gradients + min/max
-  std::vector<real_t> rb;   // kRhsStride-blocked LSQ right-hand sides
   std::vector<real_t> ph;   // kPhiStride-blocked limiter values
-  std::vector<real_t> fdq;  // kFdqStride per-face directional differences
+  // kFdqStride per-face directional differences; the flux pass then
+  // overwrites slots [0, 5) of each block with that face's area*flux.
+  std::vector<real_t> fdq;
+  std::vector<real_t> fx;   // kFluxStride area*flux (first-order levels)
   void resize(const LevelGeom& g, bool second_order);
 };
 
@@ -87,6 +109,12 @@ void residual(const LevelGeom& g, const cartesian::CartMesh& m,
               const Prim& freestream, euler::FluxScheme scheme,
               std::span<const Cons> u, bool second_order, Scratch& s,
               std::vector<Cons>& res);
+
+/// Local time-step denominators of the RK smoother: per cell, the sum of
+/// |lambda| A over its interior faces, then its boundary faces, then its
+/// cut wall — the serial face-scatter order, gathered per cell.
+void wave_speeds(const LevelGeom& g, const cartesian::CartMesh& m,
+                 std::span<const Cons> u, std::vector<real_t>& wave);
 
 // --- Retained scalar reference path ---
 

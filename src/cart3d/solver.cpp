@@ -15,33 +15,12 @@
 
 namespace columbia::cart3d {
 
-using cartesian::CartFace;
 using cartesian::CartMesh;
 using euler::Cons;
 using euler::Prim;
 using geom::Vec3;
 
 namespace {
-
-/// Unit outward normal of a boundary face (axis is encoded as
-/// axis or -(axis+1) for the negative direction).
-Vec3 boundary_normal(const CartFace& f) {
-  const int a = f.axis >= 0 ? f.axis : -(f.axis + 1);
-  const real_t sign = f.axis >= 0 ? 1.0 : -1.0;
-  Vec3 n{};
-  if (a == 0) n.x = sign;
-  if (a == 1) n.y = sign;
-  if (a == 2) n.z = sign;
-  return n;
-}
-
-Vec3 axis_normal(int axis) {
-  Vec3 n{};
-  if (axis == 0) n.x = 1;
-  if (axis == 1) n.y = 1;
-  if (axis == 2) n.z = 1;
-  return n;
-}
 
 // Cell-loop chunk grain. Cells are stored in SFC order, so contiguous
 // chunks are spatially compact (cache/NUMA friendly). Fixed constant so
@@ -87,11 +66,15 @@ void Cart3DSolver::compute_residual(int level, const std::vector<Cons>& u,
                                     std::vector<Cons>& res,
                                     bool second_order) {
   OBS_SPAN("cart3d.residual", "level", level);
-  const CartMesh& m = hierarchy_.levels[std::size_t(level)];
-  Workspace& ws = work_[std::size_t(level)];
-  if (!ws.geom.built) ws.geom.build(m);  // pure geometry, built once
-  kernels::residual(ws.geom, m, freestream_, opt_.flux, u, second_order,
-                    ws.k, res);
+  kernels::residual(level_geom(level), hierarchy_.levels[std::size_t(level)],
+                    freestream_, opt_.flux, u, second_order,
+                    work_[std::size_t(level)].k, res);
+}
+
+const kernels::LevelGeom& Cart3DSolver::level_geom(int level) {
+  kernels::LevelGeom& g = work_[std::size_t(level)].geom;
+  if (!g.built) g.build(hierarchy_.levels[std::size_t(level)]);
+  return g;
 }
 
 void Cart3DSolver::smooth(int level, int steps) {
@@ -103,30 +86,8 @@ void Cart3DSolver::smooth(int level, int steps) {
   const std::size_t n = m.cells.size();
 
   // Local time step: dt_i = CFL * V_i / sum(|lambda| A).
-  ws.wave.assign(n, 0.0);
-  auto& wave = ws.wave;
-  {
-    ws.w.resize(n);
-    auto& w = ws.w;
-    for_cells(n, [&](std::size_t i) { w[i] = euler::to_primitive(u[i]); });
-    for (const CartFace& fc : m.faces) {
-      const Vec3 nrm = axis_normal(fc.axis);
-      const real_t sl = euler::spectral_radius(w[std::size_t(fc.left)], nrm);
-      const real_t sr = euler::spectral_radius(w[std::size_t(fc.right)], nrm);
-      wave[std::size_t(fc.left)] += sl * fc.area;
-      wave[std::size_t(fc.right)] += sr * fc.area;
-    }
-    for (const CartFace& fc : m.boundary_faces)
-      wave[std::size_t(fc.left)] +=
-          euler::spectral_radius(w[std::size_t(fc.left)], boundary_normal(fc)) *
-          fc.area;
-    for_cells(n, [&](std::size_t i) {
-      const cartesian::CartCell& c = m.cells[i];
-      if (c.cut)
-        wave[i] += euler::spectral_radius(w[i], normalized(c.wall_area)) *
-                   norm(c.wall_area);
-    });
-  }
+  kernels::wave_speeds(level_geom(level), m, u, ws.wave);
+  const std::vector<real_t>& wave = ws.wave;
 
   const bool second = opt_.second_order && level == 0;
   // Three-stage Runge-Kutta smoother (Jameson-style coefficients).

@@ -143,7 +143,6 @@ class Cart3DSolver {
   struct Workspace {
     kernels::LevelGeom geom;  // per-level geometry precompute (lazy-built)
     kernels::Scratch k;       // SoA residual scratch
-    std::vector<euler::Prim> w;  // primitive cache (smoother wave speeds)
     std::vector<real_t> wave;    // sum |lambda| A
     std::vector<euler::Cons> u0;                   // RK stage base state
     // Restriction scratch (coarse-level sized).
@@ -157,6 +156,9 @@ class Cart3DSolver {
   /// only the physics it feeds the driver.
   core::MultigridDriver<Cart3DSolver> driver_{"cart3d"};
 
+  /// Level geometry, built on first use (not in the constructor: it is
+  /// solve-time work).
+  const kernels::LevelGeom& level_geom(int level);
   void smooth(int level, int steps);
   void restrict_to(int level);        // level -> level+1 (state + forcing)
   void prolong_correction(int level); // level+1 -> level

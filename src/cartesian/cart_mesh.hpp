@@ -42,6 +42,27 @@ struct CartFace {
   geom::Vec3 center;
 };
 
+/// Unit normal of an interior face (+axis, left to right).
+inline geom::Vec3 axis_normal(int axis) {
+  geom::Vec3 n{};
+  if (axis == 0) n.x = 1;
+  if (axis == 1) n.y = 1;
+  if (axis == 2) n.z = 1;
+  return n;
+}
+
+/// Unit outward normal of a domain-boundary face (axis is encoded as
+/// axis or -(axis+1) for the negative direction).
+inline geom::Vec3 boundary_normal(const CartFace& f) {
+  const int a = f.axis >= 0 ? f.axis : -(f.axis + 1);
+  const real_t sign = f.axis >= 0 ? 1.0 : -1.0;
+  geom::Vec3 n{};
+  if (a == 0) n.x = sign;
+  if (a == 1) n.y = sign;
+  if (a == 2) n.z = sign;
+  return n;
+}
+
 struct CartMeshOptions {
   int base_n = 8;     // base cells per axis (level 0)
   int max_level = 3;  // maximum subdivision depth

@@ -10,10 +10,15 @@
 //
 // Determinism contract: chunk boundaries depend only on (n, grain), never
 // on the thread count, and reduction partials are combined in chunk order
-// on the calling thread. Together with color-major edge ordering (each
-// color's edges touch disjoint nodes, so a node receives at most one
-// contribution per color) every solver kernel produces bit-identical
-// results for any thread count.
+// on the calling thread. Every solver kernel produces bit-identical
+// results for any thread count because no two threads ever add into the
+// same value:
+//   - NSU3D edge loops run color-major (each color's edges touch disjoint
+//     nodes, so a node receives at most one contribution per color);
+//   - Cart3D face sweeps are per-cell gathers over the cell's faces in
+//     ascending face order (each cell accumulates its own sums, in the
+//     serial scatter's order), and per-face work writes only that face's
+//     own slots.
 #pragma once
 
 #include <atomic>

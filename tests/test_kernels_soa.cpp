@@ -226,7 +226,7 @@ TEST(Cart3dSoA, ResidualMatchesReferenceBitwiseAcrossThreads) {
     cart3d::kernels::residual_reference(m, inf, euler::FluxScheme::Roe, u,
                                         second_order, rs, ref);
 
-    for (int threads : {1, 2, 4}) {
+    for (int threads : {1, 2, 3, 4}) {
       smp::set_global_threads(threads);
       cart3d::kernels::Scratch s;
       std::vector<euler::Cons> res;
@@ -238,6 +238,98 @@ TEST(Cart3dSoA, ResidualMatchesReferenceBitwiseAcrossThreads) {
           EXPECT_EQ(res[i][std::size_t(c)], ref[i][std::size_t(c)])
               << "order " << second_order << " t=" << threads << " cell "
               << i << " comp " << c;
+    }
+  }
+}
+
+TEST(Cart3dSoA, CellFaceAdjacencyCoversEveryFaceSideOnceInOrder) {
+  // The per-cell gathers reproduce the serial face scatter only if each
+  // cell lists every face side it owns exactly once, in ascending face
+  // order, with the side encoded (e left, ~e right).
+  const auto m = sphere_mesh();
+  cart3d::kernels::LevelGeom g;
+  g.build(m);
+  const std::size_t n = m.cells.size();
+  ASSERT_EQ(g.cf_off.size(), n + 1);
+  ASSERT_EQ(g.cb_off.size(), n + 1);
+  EXPECT_EQ(g.cf.size(), 2 * m.faces.size());
+  EXPECT_EQ(g.cb.size(), m.boundary_faces.size());
+
+  std::vector<int> left_seen(m.faces.size(), 0), right_seen(m.faces.size(), 0);
+  std::vector<int> bnd_seen(m.boundary_faces.size(), 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    long prev = -1;
+    for (index_t j = g.cf_off[i]; j < g.cf_off[i + 1]; ++j) {
+      const index_t k = g.cf[std::size_t(j)];
+      const std::size_t e = std::size_t(k >= 0 ? k : ~k);
+      ASSERT_LT(e, m.faces.size());
+      EXPECT_GT(long(e), prev) << "cell " << i << " not ascending";
+      prev = long(e);
+      if (k >= 0) {
+        EXPECT_EQ(std::size_t(m.faces[e].left), i) << "face " << e;
+        ++left_seen[e];
+      } else {
+        EXPECT_EQ(std::size_t(m.faces[e].right), i) << "face " << e;
+        ++right_seen[e];
+      }
+    }
+    prev = -1;
+    for (index_t j = g.cb_off[i]; j < g.cb_off[i + 1]; ++j) {
+      const std::size_t e = std::size_t(g.cb[std::size_t(j)]);
+      ASSERT_LT(e, m.boundary_faces.size());
+      EXPECT_GT(long(e), prev) << "cell " << i << " not ascending";
+      prev = long(e);
+      EXPECT_EQ(std::size_t(m.boundary_faces[e].left), i) << "bface " << e;
+      ++bnd_seen[e];
+    }
+  }
+  for (std::size_t e = 0; e < m.faces.size(); ++e) {
+    EXPECT_EQ(left_seen[e], 1) << "face " << e;
+    EXPECT_EQ(right_seen[e], 1) << "face " << e;
+  }
+  for (std::size_t e = 0; e < m.boundary_faces.size(); ++e)
+    EXPECT_EQ(bnd_seen[e], 1) << "bface " << e;
+}
+
+TEST(Cart3dSoA, GradientLimiterBlocksMatchReferenceBitwise) {
+  // The intermediates, not just the final residual: the per-cell gathers
+  // must leave exactly the reference's gradients, min/max bounds and phi
+  // in the blocked streams, at even and uneven chunk ownership.
+  PoolGuard guard;
+  const auto m = sphere_mesh();
+  euler::FlowConditions fc;
+  fc.mach = 0.5;
+  fc.alpha_deg = 2.0;
+  const euler::Prim inf = fc.freestream();
+  const auto u = sphere_state(m, inf);
+  cart3d::kernels::LevelGeom geomc;
+  geomc.build(m);
+
+  smp::set_global_threads(1);
+  cart3d::kernels::ReferenceScratch rs;
+  std::vector<euler::Cons> ref;
+  cart3d::kernels::residual_reference(m, inf, euler::FluxScheme::Roe, u, true,
+                                      rs, ref);
+
+  using cart3d::kernels::kGradStride;
+  using cart3d::kernels::kPhiStride;
+  for (int threads : {1, 2, 3, 4}) {
+    smp::set_global_threads(threads);
+    cart3d::kernels::Scratch s;
+    std::vector<euler::Cons> res;
+    cart3d::kernels::residual(geomc, m, inf, euler::FluxScheme::Roe, u, true,
+                              s, res);
+    for (std::size_t i = 0; i < m.cells.size(); ++i) {
+      const real_t* gi = &s.gb[i * kGradStride];
+      const real_t* p = &s.ph[i * kPhiStride];
+      for (std::size_t c = 0; c < 5; ++c) {
+        EXPECT_EQ(gi[c], rs.grad[i][c].x) << "t=" << threads << " " << i;
+        EXPECT_EQ(gi[5 + c], rs.grad[i][c].y) << "t=" << threads << " " << i;
+        EXPECT_EQ(gi[10 + c], rs.grad[i][c].z) << "t=" << threads << " " << i;
+        EXPECT_EQ(gi[15 + c], rs.qmin[i][c]) << "t=" << threads << " " << i;
+        EXPECT_EQ(gi[20 + c], rs.qmax[i][c]) << "t=" << threads << " " << i;
+        EXPECT_EQ(p[c], rs.phi[i][c]) << "t=" << threads << " " << i;
+      }
     }
   }
 }

@@ -1,10 +1,17 @@
 // Thread-count equivalence and edge-reorder properties of the solver
 // kernels. The pool's determinism contract (smp/pool.hpp) plus colored
-// scatter loops promise bit-identical results for every thread count;
-// these tests hold the solvers to that promise.
+// scatter loops (NSU3D) and per-cell face gathers (Cart3D) promise
+// bit-identical results for every thread count; these tests hold the
+// solvers to that promise, and a golden history pins Cart3D to the serial
+// kernels' bits.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <fstream>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "cart3d/solver.hpp"
@@ -62,7 +69,7 @@ TEST(ThreadEquivalence, Nsu3dPointImplicitHistoryBitIdentical) {
     EXPECT_EQ(h1[i], h3[i]) << "cycle " << i;
 }
 
-TEST(ThreadEquivalence, Cart3dHistoryBitIdentical) {
+cartesian::CartMesh small_sphere_mesh() {
   geom::Aabb domain;
   domain.expand({-1.5, -1.5, -1.5});
   domain.expand({1.5, 1.5, 1.5});
@@ -70,8 +77,12 @@ TEST(ThreadEquivalence, Cart3dHistoryBitIdentical) {
   cartesian::CartMeshOptions mo;
   mo.base_n = 8;
   mo.max_level = 2;
-  const auto m = cartesian::build_cart_mesh(sphere, domain, mo);
+  return cartesian::build_cart_mesh(sphere, domain, mo);
+}
 
+TEST(ThreadEquivalence, Cart3dHistoryBitIdentical) {
+  // Three threads gives the pool uneven chunk ownership.
+  const auto m = small_sphere_mesh();
   euler::FlowConditions fc;
   fc.mach = 0.3;
   cart3d::SolverOptions o;
@@ -83,10 +94,61 @@ TEST(ThreadEquivalence, Cart3dHistoryBitIdentical) {
     return s.solve(8, 12);
   };
   const auto h1 = run(1);
-  const auto h4 = run(4);
-  ASSERT_EQ(h1.size(), h4.size());
-  for (std::size_t i = 0; i < h1.size(); ++i)
-    EXPECT_EQ(h1[i], h4[i]) << "cycle " << i;
+  for (int threads : {2, 3, 4}) {
+    const auto ht = run(threads);
+    ASSERT_EQ(h1.size(), ht.size()) << "t=" << threads;
+    for (std::size_t i = 0; i < h1.size(); ++i)
+      EXPECT_EQ(h1[i], ht[i]) << "t=" << threads << " cycle " << i;
+  }
+}
+
+std::uint64_t bits_of(real_t v) {
+  std::uint64_t b;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+TEST(Cart3dGolden, SphereHistoryAndForcesMatchPinnedBits) {
+  // Thread-count equivalence alone would pass a kernel change that
+  // reorders every cell's sums the same way at every thread count; these
+  // bits pin the history to the serial face-scatter kernels. The smoother's
+  // wave-speed sum has no reference kernel, so only a history covers it.
+  std::ifstream in(COLUMBIA_TEST_DATA_DIR "/cart3d_golden_sphere.txt");
+  ASSERT_TRUE(in) << "missing tests/data/cart3d_golden_sphere.txt";
+  std::vector<std::uint64_t> history;
+  std::uint64_t cl = 0, cd = 0;
+  for (std::string line; std::getline(in, line);) {
+    if (line.empty() || line[0] == '#') continue;
+    std::istringstream ls(line);
+    std::string key;
+    std::uint64_t v = 0;
+    ls >> key >> std::hex >> v;
+    ASSERT_TRUE(ls) << line;
+    if (key == "residual") history.push_back(v);
+    if (key == "cl") cl = v;
+    if (key == "cd") cd = v;
+  }
+  ASSERT_EQ(history.size(), 11u);
+
+  const auto m = small_sphere_mesh();
+  euler::FlowConditions fc;
+  fc.mach = 0.5;
+  fc.alpha_deg = 2.0;
+  cart3d::SolverOptions o;
+  o.mg_levels = 3;
+  for (int threads : {1, 2, 3, 4}) {
+    PoolGuard guard;
+    smp::set_global_threads(threads);
+    cart3d::Cart3DSolver s(m, fc, o);
+    ASSERT_EQ(s.num_levels(), 3);
+    const auto h = s.solve(10, 12);
+    ASSERT_EQ(h.size(), history.size()) << "t=" << threads;
+    for (std::size_t i = 0; i < h.size(); ++i)
+      EXPECT_EQ(bits_of(h[i]), history[i]) << "t=" << threads << " cycle " << i;
+    const cart3d::Forces f = s.integrate_forces();
+    EXPECT_EQ(bits_of(f.cl), cl) << "t=" << threads;
+    EXPECT_EQ(bits_of(f.cd), cd) << "t=" << threads;
+  }
 }
 
 TEST(ColorReorder, SpansAreConflictFree) {
